@@ -48,6 +48,9 @@ type iproc struct {
 	queue    []int
 	inQ      []bool
 	vtargets map[int][]*classfile.Method
+	// ma is the one method analysis every run and capture pass reuses, so
+	// its storage is allocated once per Compute rather than per visit.
+	ma manalysis
 }
 
 // Compute analyzes a linked program and returns its fact table. Any input
@@ -73,6 +76,7 @@ func Compute(p *cfg.ProgramCFG) (f *Facts) {
 		inQ:      make([]bool, len(p.Program.Methods)),
 		vtargets: make(map[int][]*classfile.Method),
 	}
+	ip.ma.ip = ip
 	for i := range ip.sums {
 		ip.sums[i] = &msum{}
 	}
@@ -122,7 +126,7 @@ func (ip *iproc) run() bool {
 		if m.Native != "" || m.Abstract || len(m.Code) == 0 || ip.sums[id].degraded {
 			continue
 		}
-		ma := newMethodAnalysis(ip, m, false, nil)
+		ma := ip.analysis(m, false, nil)
 		if ma == nil {
 			// Undecodable or CFG-less code in a linked program is structural
 			// damage; no per-method recovery is sound.
@@ -157,12 +161,11 @@ func (ip *iproc) degradeMethod(id int) {
 			ip.enqueue(c)
 		}
 	}
-	m := ip.prog.Methods[id]
-	ins, err := bytecode.Decode(m.Code)
-	if err != nil {
+	mc := ip.p.Methods[id]
+	if mc == nil {
 		return // already conservative: no claims, unknown return
 	}
-	for _, in := range ins {
+	for _, in := range mc.Instrs {
 		if bytecode.InfoOf(in.Op).Flow != bytecode.FlowCall {
 			continue
 		}
@@ -229,7 +232,7 @@ func (ip *iproc) capture() *Facts {
 			}
 			continue
 		}
-		ma := newMethodAnalysis(ip, ip.prog.Methods[id], true, f)
+		ma := ip.analysis(ip.prog.Methods[id], true, f)
 		if ma == nil || !ma.run() {
 			return topFactsFor(ip.p)
 		}
@@ -239,16 +242,12 @@ func (ip *iproc) capture() *Facts {
 	return f
 }
 
-// calleesOf resolves the sound dynamic target set of a call: the resolved
-// method for static/special dispatch, and for virtual dispatch every
-// method any class in the program exposes at the reference's vtable slot
-// (the receiver's static type is unknown). ok is false when a same-slot
-// method disagrees on signature — dispatch there would desynchronize the
-// caller's stack, so the whole analysis degrades.
-func (ip *iproc) calleesOf(ref *classfile.MethodRef) ([]*classfile.Method, bool) {
-	if ref.Kind != classfile.RefVirtual {
-		return []*classfile.Method{ref.Method}, true
-	}
+// virtualCallees resolves the sound dynamic target set of a virtual call:
+// every method any class in the program exposes at the reference's vtable
+// slot (the receiver's static type is unknown). ok is false when a
+// same-slot method disagrees on signature — dispatch there would
+// desynchronize the caller's stack, so the whole analysis degrades.
+func (ip *iproc) virtualCallees(ref *classfile.MethodRef) ([]*classfile.Method, bool) {
 	if ts, ok := ip.vtargets[ref.VSlot]; ok {
 		return ts, ts != nil
 	}
@@ -301,13 +300,17 @@ func (ip *iproc) flowArgs(sum *msum, args []absVal) bool {
 
 // manalysis is the instruction-granularity fixpoint over one method,
 // mirroring the verifier's worklist skeleton with the richer lattice.
+//
+// Its storage is reused across visits and across method analyses: an
+// instruction's transfer runs on the cur scratch state, and only an
+// instruction's first visit copies a state into states[j], carved from the
+// vals and lvals slabs, which are recycled by the next method analysis.
 type manalysis struct {
 	ip      *iproc
 	ev      evaluator
 	m       *classfile.Method
 	mc      *cfg.MethodCFG
-	ins     []bytecode.Instr
-	idxOf   map[uint32]int
+	ins     []bytecode.Instr // mc.Instrs: decoded once, by cfg
 	states  []absState
 	seen    []bool
 	visits  []uint32
@@ -315,35 +318,70 @@ type manalysis struct {
 	work    []int
 	capture bool
 	facts   *Facts
+
+	cur     absState // the visited instruction's state, transferred in place
+	taken   absState // the taken arm of an undecided conditional
+	handler absState // an exception edge: the thrown reference over cur's locals
+	args    []absVal // a call's argument values
+	vals    slab[absVal]
+	lvals   slab[lval]
 }
 
-func newMethodAnalysis(ip *iproc, m *classfile.Method, capture bool, facts *Facts) *manalysis {
-	ins, err := bytecode.Decode(m.Code)
-	if err != nil || len(ins) == 0 {
+// analysis readies the reused method analysis for m, or returns nil when m
+// has no CFG.
+func (ip *iproc) analysis(m *classfile.Method, capture bool, facts *Facts) *manalysis {
+	mc := ip.p.Methods[m.ID]
+	if mc == nil || len(mc.Instrs) == 0 {
 		return nil
 	}
-	ma := &manalysis{
-		ip:      ip,
-		ev:      evaluator{prog: ip.prog},
-		m:       m,
-		mc:      ip.p.Methods[m.ID],
-		ins:     ins,
-		idxOf:   make(map[uint32]int, len(ins)),
-		states:  make([]absState, len(ins)),
-		seen:    make([]bool, len(ins)),
-		visits:  make([]uint32, len(ins)),
-		queued:  make([]bool, len(ins)),
-		capture: capture,
-		facts:   facts,
-	}
-	if ma.mc == nil {
-		return nil
-	}
-	for i, in := range ins {
-		ma.idxOf[in.PC] = i
-	}
+	n := len(mc.Instrs)
+	ma := &ip.ma
+	ma.ev = evaluator{prog: ip.prog}
+	ma.m, ma.mc, ma.ins = m, mc, mc.Instrs
+	ma.states = resized(ma.states, n)
+	ma.seen = resized(ma.seen, n)
+	ma.visits = resized(ma.visits, n)
+	ma.queued = resized(ma.queued, n)
+	ma.work = ma.work[:0]
+	ma.capture, ma.facts = capture, facts
+	ma.vals.reset()
+	ma.lvals.reset()
 	return ma
 }
+
+// resized returns s with length n and every element zeroed, reusing its
+// storage when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// slabChunk is the smallest chunk a slab allocates.
+const slabChunk = 1024
+
+// slab hands out exact-length copies carved from one shared chunk, so the
+// states of a method analysis cost a few chunk allocations instead of two
+// per instruction. reset recycles the chunk; it is only called once no
+// copy is live.
+type slab[T any] struct{ buf []T }
+
+func (s *slab[T]) copyOf(src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	if cap(s.buf)-len(s.buf) < len(src) {
+		s.buf = make([]T, 0, max(2*cap(s.buf), len(src), slabChunk))
+	}
+	lo := len(s.buf)
+	s.buf = append(s.buf, src...)
+	return s.buf[lo:len(s.buf):len(s.buf)]
+}
+
+func (s *slab[T]) reset() { s.buf = s.buf[:0] }
 
 func (ma *manalysis) run() bool {
 	na := ma.m.NArgs()
@@ -351,7 +389,9 @@ func (ma *manalysis) run() bool {
 	if ma.m.MaxLocals < na || len(sum.args) != na || ma.m.MaxLocals > 1<<16 {
 		return false
 	}
-	entry := absState{locals: make([]lval, ma.m.MaxLocals)}
+	entry := &ma.cur
+	entry.stack = entry.stack[:0]
+	entry.locals = resized(entry.locals, ma.m.MaxLocals)
 	for i := 0; i < na; i++ {
 		entry.locals[i] = lval{v: sum.args[i], init: true}
 	}
@@ -380,15 +420,16 @@ func (ma *manalysis) enqueueInstr(j int) {
 
 // flowTo merges a state into an instruction's entry, queueing it when the
 // merge changed anything. Integer bounds still moving after widenAfter
-// revisits are widened to ±∞, bounding the fixpoint.
-func (ma *manalysis) flowTo(j int, st absState) {
+// revisits are widened to ±∞, bounding the fixpoint. st is only read: the
+// first visit copies it into the slabs, later visits merge it.
+func (ma *manalysis) flowTo(j int, st *absState) {
 	if j < 0 || j >= len(ma.ins) {
 		ma.ev.fail()
 		return
 	}
 	if !ma.seen[j] {
 		ma.seen[j] = true
-		ma.states[j] = st.clone()
+		ma.states[j] = absState{stack: ma.vals.copyOf(st.stack), locals: ma.lvals.copyOf(st.locals)}
 		ma.enqueueInstr(j)
 		return
 	}
@@ -419,8 +460,8 @@ func (ma *manalysis) flowTo(j int, st absState) {
 	}
 }
 
-func (ma *manalysis) branchTo(pc uint32, st absState) {
-	j, ok := ma.idxOf[pc]
+func (ma *manalysis) branchTo(pc uint32, st *absState) {
+	j, ok := ma.mc.InstrIndex(pc)
 	if !ok {
 		ma.ev.fail()
 		return
@@ -430,7 +471,9 @@ func (ma *manalysis) branchTo(pc uint32, st absState) {
 
 func (ma *manalysis) step(idx int) {
 	in := ma.ins[idx]
-	st := ma.states[idx].clone()
+	st := &ma.cur
+	st.stack = append(st.stack[:0], ma.states[idx].stack...)
+	st.locals = append(st.locals[:0], ma.states[idx].locals...)
 	// Exception edges: only Throw transfers to a handler (traps abort the
 	// run), but the throw may be arbitrarily deep in callees, so every
 	// covered instruction — not just Throw — flows its entry locals to
@@ -441,20 +484,19 @@ func (ma *manalysis) step(idx int) {
 		if !h.Covers(in.PC) {
 			continue
 		}
-		hj, ok := ma.idxOf[h.HandlerPC]
+		hj, ok := ma.mc.InstrIndex(h.HandlerPC)
 		if !ok {
 			ma.ev.fail()
 			return
 		}
-		hst := absState{
-			stack:  []absVal{nonNullRef()},
-			locals: append([]lval(nil), st.locals...),
-		}
+		hst := &ma.handler
+		hst.stack = append(hst.stack[:0], nonNullRef())
+		hst.locals = st.locals // flowTo only reads it, before the transfer below
 		ma.flowTo(hj, hst)
 	}
 	switch bytecode.InfoOf(in.Op).Flow {
 	case bytecode.FlowNext:
-		ma.ev.exec(&st, in)
+		ma.ev.exec(st, in)
 		if !ma.ev.bail {
 			ma.flowTo(idx+1, st)
 		}
@@ -469,7 +511,7 @@ func (ma *manalysis) step(idx int) {
 	case bytecode.FlowReturn:
 		ma.stepReturn(in, st)
 	case bytecode.FlowThrow:
-		ma.ev.pop(&st) // handler edges already flowed above
+		ma.ev.pop(st) // handler edges already flowed above
 	case bytecode.FlowHalt:
 		// Terminates the machine; no successors.
 	default:
@@ -480,13 +522,13 @@ func (ma *manalysis) step(idx int) {
 // stepCond follows only the decided edge when the outcome is known
 // (sparse conditional propagation), and otherwise conditions each edge's
 // state on its branch direction, skipping edges proven infeasible.
-func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st absState) {
+func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st *absState) {
 	var a, b absVal
 	if bytecode.CondArity(in.Op) == 2 {
-		b = ma.ev.pop(&st)
-		a = ma.ev.pop(&st)
+		b = ma.ev.pop(st)
+		a = ma.ev.pop(st)
 	} else {
-		a = ma.ev.pop(&st)
+		a = ma.ev.pop(st)
 	}
 	if ma.ev.bail {
 		return
@@ -499,17 +541,19 @@ func (ma *manalysis) stepCond(idx int, in bytecode.Instr, st absState) {
 		}
 		return
 	}
-	tst := st.clone()
-	if refineBranch(&tst, in.Op, a, b, true) {
+	tst := &ma.taken
+	tst.stack = append(tst.stack[:0], st.stack...)
+	tst.locals = append(tst.locals[:0], st.locals...)
+	if refineBranch(tst, in.Op, a, b, true) {
 		ma.branchTo(uint32(in.A), tst)
 	}
-	if refineBranch(&st, in.Op, a, b, false) {
+	if refineBranch(st, in.Op, a, b, false) {
 		ma.flowTo(idx+1, st)
 	}
 }
 
-func (ma *manalysis) stepSwitch(in bytecode.Instr, st absState) {
-	key := ma.ev.pop(&st)
+func (ma *manalysis) stepSwitch(in bytecode.Instr, st *absState) {
+	key := ma.ev.pop(st)
 	if ma.ev.bail {
 		return
 	}
@@ -548,7 +592,7 @@ func switchTargetPC(in bytecode.Instr, key int64) uint32 {
 	return in.Dflt
 }
 
-func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
+func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st *absState) {
 	if in.A < 0 || int(in.A) >= len(ma.ip.prog.MethodRefs) {
 		ma.ev.fail()
 		return
@@ -559,9 +603,10 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 		return
 	}
 	na := ref.Method.NArgs()
-	args := make([]absVal, na)
+	ma.args = resized(ma.args, na)
+	args := ma.args
 	for i := na - 1; i >= 0; i-- {
-		args[i] = ma.ev.pop(&st)
+		args[i] = ma.ev.pop(st)
 	}
 	if ma.ev.bail {
 		return
@@ -572,7 +617,7 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 			return // always traps on the null receiver; no successors
 		}
 		// Continuing past the call implies the receiver was non-null.
-		ma.ev.provenNonNull(&st, args[0])
+		ma.ev.provenNonNull(st, args[0])
 	}
 	for i := range args {
 		args[i].src = noSrc
@@ -580,10 +625,14 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 	if instance && len(args) > 0 && args[0].kind == bytecode.KRef {
 		args[0].nl = nlNonNull // the callee's receiver cannot be null
 	}
-	targets, ok := ma.ip.calleesOf(ref)
-	if !ok {
-		ma.ev.fail()
-		return
+	direct := [1]*classfile.Method{ref.Method}
+	targets := direct[:]
+	if ref.Kind == classfile.RefVirtual {
+		var ok bool
+		if targets, ok = ma.ip.virtualCallees(ref); !ok {
+			ma.ev.fail()
+			return
+		}
 	}
 	returns := false
 	var retv absVal
@@ -627,7 +676,7 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 		if !retSet {
 			retv = typeVal(ref.Method.Ret)
 		}
-		ma.ev.push(&st, retv)
+		ma.ev.push(st, retv)
 		if ma.ev.bail {
 			return
 		}
@@ -635,11 +684,11 @@ func (ma *manalysis) stepCall(idx int, in bytecode.Instr, st absState) {
 	ma.flowTo(idx+1, st)
 }
 
-func (ma *manalysis) stepReturn(in bytecode.Instr, st absState) {
+func (ma *manalysis) stepReturn(in bytecode.Instr, st *absState) {
 	var v absVal
 	hasVal := in.Op != bytecode.ReturnVoid
 	if hasVal {
-		v = ma.ev.pop(&st)
+		v = ma.ev.pop(st)
 		if ma.ev.bail {
 			return
 		}
@@ -675,7 +724,7 @@ func (ma *manalysis) stepReturn(in bytecode.Instr, st absState) {
 // facts and decided terminators.
 func (ma *manalysis) captureFacts() {
 	for _, b := range ma.mc.Blocks {
-		sidx, ok := ma.idxOf[b.StartPC()]
+		sidx, ok := ma.mc.InstrIndex(b.StartPC())
 		if !ok || int(b.ID) >= len(ma.facts.blocks) {
 			continue
 		}
@@ -715,7 +764,7 @@ func (ma *manalysis) captureFacts() {
 
 func (ma *manalysis) captureDecided(b *cfg.Block, bf *BlockFacts) {
 	term := b.Terminator()
-	tidx, ok := ma.idxOf[term.PC]
+	tidx, ok := ma.mc.InstrIndex(term.PC)
 	if !ok || !ma.seen[tidx] {
 		return
 	}

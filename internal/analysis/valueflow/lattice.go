@@ -34,15 +34,16 @@ const (
 // src is the local slot the value was loaded from (noSrc if none); it lets
 // a conditional refine the *local* it tested, and is invalidated when the
 // slot is overwritten. The struct is comparable, which flowTo relies on for
-// change detection.
+// change detection. The small fields lead so a value packs into 32 bytes:
+// states hold one per local slot and stack entry of every instruction.
 type absVal struct {
 	kind bytecode.ValKind
-	lo   int64 // integer interval, valid when kind == KInt
-	hi   int64
-	fb   uint64 // float constant bits, valid when kind == KFloat && fc
 	fc   bool
 	nl   nullness // valid when kind == KRef
 	src  int32
+	lo   int64 // integer interval, valid when kind == KInt
+	hi   int64
+	fb   uint64 // float constant bits, valid when kind == KFloat && fc
 }
 
 func topAny() absVal { return absVal{kind: bytecode.KAny, src: noSrc} }
@@ -138,14 +139,6 @@ func mergeLocal(a, b lval, widen bool) lval {
 type absState struct {
 	stack  []absVal
 	locals []lval
-}
-
-func (st *absState) clone() absState {
-	out := absState{
-		stack:  append([]absVal(nil), st.stack...),
-		locals: append([]lval(nil), st.locals...),
-	}
-	return out
 }
 
 // cmpKind is the canonical comparison relation behind the conditional

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
@@ -26,10 +27,10 @@ const maxVerifyLocals = 1 << 16
 // finding; unreachable-code warnings are only computed for clean methods.
 func Verify(prog *classfile.Program) *Report {
 	rep := &Report{}
-	res := newResolver(prog)
+	v := &mverify{rep: rep, res: newResolver(prog)}
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {
-			verifyMethod(rep, res, c, m)
+			v.verifyMethod(c, m)
 		}
 	}
 	return rep
@@ -98,7 +99,10 @@ func (s absState) clone() absState {
 	}
 }
 
-// mverify verifies one method.
+// mverify verifies one method at a time. One mverify serves every method
+// of a Verify call, so its per-method storage — the decoded instructions,
+// the pc index, the state table and the scratch state — is reused rather
+// than reallocated per method and per visit.
 type mverify struct {
 	rep  *Report
 	res  *resolver
@@ -112,6 +116,8 @@ type mverify struct {
 	seen    []bool
 	work    []int
 	stopped bool
+
+	cur absState // the visited instruction's state, transferred in place
 }
 
 func (v *mverify) fail(pc uint32, rule, format string, args ...any) {
@@ -156,8 +162,8 @@ func qname(c *classfile.Class, m *classfile.Method) string {
 	return c.Name + "." + m.Name
 }
 
-func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.Method) {
-	v := &mverify{rep: rep, res: res, name: qname(c, m), m: m}
+func (v *mverify) verifyMethod(c *classfile.Class, m *classfile.Method) {
+	v.name, v.m, v.stopped = qname(c, m), m, false
 	if m.Abstract || m.Native != "" {
 		return // no bytecode to verify; structural rules are the linker's
 	}
@@ -176,7 +182,7 @@ func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.M
 	// Decode instruction by instruction (not bytecode.Decode, which folds
 	// target validation into decoding) so target errors surface under their
 	// own rule below.
-	var ins []bytecode.Instr
+	ins := v.ins[:0]
 	for pc := uint32(0); int(pc) < len(m.Code); {
 		in, err := bytecode.DecodeAt(m.Code, pc)
 		if err != nil {
@@ -191,7 +197,10 @@ func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.M
 		return
 	}
 	v.ins = ins
-	v.idxOf = make(map[uint32]int, len(ins))
+	if v.idxOf == nil {
+		v.idxOf = make(map[uint32]int, len(ins))
+	}
+	clear(v.idxOf)
 	for i, in := range ins {
 		v.idxOf[in.PC] = i
 	}
@@ -252,11 +261,13 @@ func verifyMethod(rep *Report, res *resolver, c *classfile.Class, m *classfile.M
 		slot++
 	}
 
-	v.states = make([]absState, len(ins))
-	v.seen = make([]bool, len(ins))
+	v.states = slices.Grow(v.states[:0], len(ins))[:len(ins)]
+	v.seen = slices.Grow(v.seen[:0], len(ins))[:len(ins)]
+	clear(v.states)
+	clear(v.seen)
 	v.states[0] = entry
 	v.seen[0] = true
-	v.work = append(v.work, 0)
+	v.work = append(v.work[:0], 0)
 
 	for len(v.work) > 0 && !v.stopped {
 		i := v.work[len(v.work)-1]
@@ -349,8 +360,8 @@ func (v *mverify) writeLocal(st *absState, in bytecode.Instr, k bytecode.ValKind
 }
 
 // flowTo merges the state st into the entry of instruction j, queueing it
-// when anything changed.
-func (v *mverify) flowTo(j int, st absState) {
+// when anything changed. st is only read: the first visit copies it.
+func (v *mverify) flowTo(j int, st *absState) {
 	if v.stopped {
 		return
 	}
@@ -394,14 +405,17 @@ func (v *mverify) flowTo(j int, st absState) {
 // the result to every successor, including exception-handler entries.
 func (v *mverify) step(i int) {
 	in := v.ins[i]
-	st := v.states[i].clone()
+	st := &v.cur
+	st.stack = append(st.stack[:0], v.states[i].stack...)
+	st.locals = append(st.locals[:0], v.states[i].locals...)
 
 	// Any instruction inside a protected range can transfer to the handler:
 	// entry state there is the single thrown reference over current locals.
+	thrown := [1]bytecode.ValKind{bytecode.KRef}
 	for _, h := range v.m.Handlers {
 		if h.Covers(in.PC) {
-			v.flowTo(v.idxOf[h.HandlerPC], absState{
-				stack:  []bytecode.ValKind{bytecode.KRef},
+			v.flowTo(v.idxOf[h.HandlerPC], &absState{
+				stack:  thrown[:],
 				locals: st.locals,
 			})
 			if v.stopped {
@@ -412,32 +426,32 @@ func (v *mverify) step(i int) {
 
 	switch in.Op {
 	case bytecode.ILoad:
-		v.readLocal(&st, in, bytecode.KInt)
-		v.push(&st, in.PC, bytecode.KInt)
+		v.readLocal(st, in, bytecode.KInt)
+		v.push(st, in.PC, bytecode.KInt)
 	case bytecode.FLoad:
-		v.readLocal(&st, in, bytecode.KFloat)
-		v.push(&st, in.PC, bytecode.KFloat)
+		v.readLocal(st, in, bytecode.KFloat)
+		v.push(st, in.PC, bytecode.KFloat)
 	case bytecode.ALoad:
-		v.readLocal(&st, in, bytecode.KRef)
-		v.push(&st, in.PC, bytecode.KRef)
+		v.readLocal(st, in, bytecode.KRef)
+		v.push(st, in.PC, bytecode.KRef)
 	case bytecode.IStore:
-		v.pop(&st, in.PC, bytecode.KInt, "istore")
-		v.writeLocal(&st, in, bytecode.KInt)
+		v.pop(st, in.PC, bytecode.KInt, "istore")
+		v.writeLocal(st, in, bytecode.KInt)
 	case bytecode.FStore:
-		v.pop(&st, in.PC, bytecode.KFloat, "fstore")
-		v.writeLocal(&st, in, bytecode.KFloat)
+		v.pop(st, in.PC, bytecode.KFloat, "fstore")
+		v.writeLocal(st, in, bytecode.KFloat)
 	case bytecode.AStore:
-		v.pop(&st, in.PC, bytecode.KRef, "astore")
-		v.writeLocal(&st, in, bytecode.KRef)
+		v.pop(st, in.PC, bytecode.KRef, "astore")
+		v.writeLocal(st, in, bytecode.KRef)
 	case bytecode.IInc:
-		v.readLocal(&st, in, bytecode.KInt)
+		v.readLocal(st, in, bytecode.KInt)
 
 	case bytecode.SConst:
 		if int(uint16(in.A)) >= len(v.res.prog.Strings) {
 			v.fail(in.PC, RuleBadRefIndex, "sconst index %d out of range (%d strings)", uint16(in.A), len(v.res.prog.Strings))
 			return
 		}
-		v.push(&st, in.PC, bytecode.KRef)
+		v.push(st, in.PC, bytecode.KRef)
 
 	case bytecode.New, bytecode.InstanceOf, bytecode.CheckCast:
 		if int(uint16(in.A)) >= len(v.res.prog.Classes) {
@@ -446,33 +460,33 @@ func (v *mverify) step(i int) {
 		}
 		pops, pushes, _ := bytecode.StackKinds(in.Op)
 		for _, k := range pops {
-			v.pop(&st, in.PC, k, in.Op.String())
+			v.pop(st, in.PC, k, in.Op.String())
 		}
 		for _, k := range pushes {
-			v.push(&st, in.PC, k)
+			v.push(st, in.PC, k)
 		}
 
 	case bytecode.Dup:
-		k := v.pop(&st, in.PC, bytecode.KAny, "dup")
-		v.push(&st, in.PC, k)
-		v.push(&st, in.PC, k)
+		k := v.pop(st, in.PC, bytecode.KAny, "dup")
+		v.push(st, in.PC, k)
+		v.push(st, in.PC, k)
 	case bytecode.DupX1:
-		a := v.pop(&st, in.PC, bytecode.KAny, "dup_x1")
-		b := v.pop(&st, in.PC, bytecode.KAny, "dup_x1")
-		v.push(&st, in.PC, a)
-		v.push(&st, in.PC, b)
-		v.push(&st, in.PC, a)
+		a := v.pop(st, in.PC, bytecode.KAny, "dup_x1")
+		b := v.pop(st, in.PC, bytecode.KAny, "dup_x1")
+		v.push(st, in.PC, a)
+		v.push(st, in.PC, b)
+		v.push(st, in.PC, a)
 	case bytecode.Swap:
-		a := v.pop(&st, in.PC, bytecode.KAny, "swap")
-		b := v.pop(&st, in.PC, bytecode.KAny, "swap")
-		v.push(&st, in.PC, a)
-		v.push(&st, in.PC, b)
+		a := v.pop(st, in.PC, bytecode.KAny, "swap")
+		b := v.pop(st, in.PC, bytecode.KAny, "swap")
+		v.push(st, in.PC, a)
+		v.push(st, in.PC, b)
 
 	case bytecode.InvokeStatic, bytecode.InvokeVirtual, bytecode.InvokeSpecial:
-		v.stepInvoke(&st, in)
+		v.stepInvoke(st, in)
 
 	case bytecode.GetField, bytecode.PutField, bytecode.GetStatic, bytecode.PutStatic:
-		v.stepField(&st, in)
+		v.stepField(st, in)
 
 	case bytecode.ReturnVoid:
 		if v.m.Ret != classfile.TVoid {
@@ -489,7 +503,7 @@ func (v *mverify) step(i int) {
 			v.fail(in.PC, RuleKindMismatch, "%s in method returning %s", in.Op, v.m.Ret)
 			return
 		}
-		v.pop(&st, in.PC, typeKind(want), in.Op.String())
+		v.pop(st, in.PC, typeKind(want), in.Op.String())
 
 	default:
 		pops, pushes, ok := bytecode.StackKinds(in.Op)
@@ -498,10 +512,10 @@ func (v *mverify) step(i int) {
 			return
 		}
 		for _, k := range pops {
-			v.pop(&st, in.PC, k, in.Op.String())
+			v.pop(st, in.PC, k, in.Op.String())
 		}
 		for _, k := range pushes {
-			v.push(&st, in.PC, k)
+			v.push(st, in.PC, k)
 		}
 	}
 	if v.stopped {

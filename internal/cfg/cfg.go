@@ -89,12 +89,24 @@ type MethodCFG struct {
 	Method *classfile.Method
 	Blocks []*Block
 	Entry  *Block
+	// Instrs is the method's decoded code in pc order, decoded once per
+	// program: every block's Instrs is a capped subslice of it, and
+	// analyses that work per instruction index it instead of decoding the
+	// method again.
+	Instrs []bytecode.Instr
 
 	byPC map[uint32]*Block
 }
 
 // BlockAtPC returns the block starting at the given byte offset, or nil.
 func (m *MethodCFG) BlockAtPC(pc uint32) *Block { return m.byPC[pc] }
+
+// InstrIndex returns the index into Instrs of the instruction starting at
+// the given byte offset; ok is false when no instruction starts there.
+func (m *MethodCFG) InstrIndex(pc uint32) (idx int, ok bool) {
+	idx = sort.Search(len(m.Instrs), func(i int) bool { return m.Instrs[i].PC >= pc })
+	return idx, idx < len(m.Instrs) && m.Instrs[idx].PC == pc
+}
 
 // HandlerEntries returns the blocks that begin the method's exception
 // handlers, deduplicated, in exception-table order. These are the targets of
@@ -173,10 +185,14 @@ func BuildProgram(prog *classfile.Program) (*ProgramCFG, error) {
 }
 
 func buildMethod(m *classfile.Method, firstID BlockID) (*MethodCFG, error) {
-	ins, err := bytecode.Decode(m.Code)
+	decoded, err := bytecode.Decode(m.Code)
 	if err != nil {
 		return nil, fmt.Errorf("cfg: method %s: %w", m.QName(), err)
 	}
+	// The CFG keeps the decoded code for the program's lifetime, so drop
+	// the decoder's append slack.
+	ins := make([]bytecode.Instr, len(decoded))
+	copy(ins, decoded)
 
 	// Find leaders: the entry, every branch/switch target, every exception
 	// handler, and every instruction following a terminator.
@@ -193,11 +209,16 @@ func buildMethod(m *classfile.Method, firstID BlockID) (*MethodCFG, error) {
 		leaders[h.HandlerPC] = true
 	}
 
-	// Partition instructions into blocks.
-	var mc = &MethodCFG{Method: m, byPC: make(map[uint32]*Block)}
+	// Partition instructions into blocks: each block's Instrs is the capped
+	// run of ins from its leader up to the next leader.
+	var mc = &MethodCFG{Method: m, Instrs: ins, byPC: make(map[uint32]*Block)}
 	var cur *Block
-	for _, in := range ins {
+	start := 0
+	for i, in := range ins {
 		if leaders[in.PC] || cur == nil {
+			if cur != nil {
+				cur.Instrs = ins[start:i:i]
+			}
 			cur = &Block{
 				ID:            firstID + BlockID(len(mc.Blocks)),
 				Method:        m,
@@ -208,8 +229,11 @@ func buildMethod(m *classfile.Method, firstID BlockID) (*MethodCFG, error) {
 			}
 			mc.Blocks = append(mc.Blocks, cur)
 			mc.byPC[in.PC] = cur
+			start = i
 		}
-		cur.Instrs = append(cur.Instrs, in)
+	}
+	if cur != nil {
+		cur.Instrs = ins[start:len(ins):len(ins)]
 	}
 	if len(mc.Blocks) == 0 {
 		return nil, fmt.Errorf("cfg: method %s has no instructions", m.QName())

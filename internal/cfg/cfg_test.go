@@ -251,10 +251,28 @@ func TestPropertyBlocksPartitionMethods(t *testing.T) {
 				t.Errorf("%s: blocks contain %d instrs, method has %d", mc.Method.QName(), len(rebuilt), len(ins))
 				continue
 			}
+			if len(mc.Instrs) != len(ins) {
+				t.Errorf("%s: Instrs holds %d instrs, method has %d", mc.Method.QName(), len(mc.Instrs), len(ins))
+				continue
+			}
 			for j := range ins {
 				if !rebuilt[j].Equal(ins[j]) || rebuilt[j].PC != ins[j].PC {
 					t.Errorf("%s: instruction %d differs in block partition", mc.Method.QName(), j)
 				}
+				if !mc.Instrs[j].Equal(ins[j]) || mc.Instrs[j].PC != ins[j].PC {
+					t.Errorf("%s: Instrs[%d] differs from the decoded code", mc.Method.QName(), j)
+				}
+				if idx, ok := mc.InstrIndex(ins[j].PC); !ok || idx != j {
+					t.Errorf("%s: InstrIndex(%d) = %d, %v; want %d, true", mc.Method.QName(), ins[j].PC, idx, ok, j)
+				}
+				if ins[j].Size() > 1 {
+					if _, ok := mc.InstrIndex(ins[j].PC + 1); ok {
+						t.Errorf("%s: InstrIndex found an instruction mid-instruction at pc %d", mc.Method.QName(), ins[j].PC+1)
+					}
+				}
+			}
+			if _, ok := mc.InstrIndex(uint32(len(mc.Method.Code))); ok {
+				t.Errorf("%s: InstrIndex found an instruction past the end", mc.Method.QName())
 			}
 		}
 	}

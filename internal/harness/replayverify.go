@@ -66,9 +66,12 @@ func VerifyReplayDeterminism(ctx context.Context, l *replay.Log, rounds int, cfg
 	}
 	opts := replay.PlayOptions{
 		Scale: 0, // max speed: determinism must not depend on pacing
-		// Never submit more than the pool can hold, so no round sees a
-		// backpressure refusal the others don't.
-		MaxInFlight: cfg.Workers + cfg.QueueDepth,
+		// Never submit more than the queue can hold, so no round sees a
+		// backpressure refusal the others don't. Workers do not add room:
+		// a submitter is released when its job's result is published,
+		// before that worker is back at the queue, so Workers+QueueDepth
+		// outstanding submissions can overfill the queue under load.
+		MaxInFlight: cfg.QueueDepth,
 	}
 
 	rep := &ReplayVerifyReport{
